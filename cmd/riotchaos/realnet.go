@@ -10,6 +10,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/observatory"
+	"repro/internal/realnet"
 )
 
 // runRealnet replays the corpus on real loopback UDP sockets: each
@@ -133,9 +134,9 @@ func replayOneLive(out io.Writer, ce *chaos.Counterexample, opts chaos.LiveOptio
 	if !ok {
 		mark = "FAIL"
 	}
-	fmt.Fprintf(out, "%s  %-8s %-12s %-44s R=%.3f (sim %.3f) armed=%d skipped=%d wall=%s\n",
+	fmt.Fprintf(out, "%s  %-8s %-12s %-44s R=%.3f (sim %.3f) armed=%d skipped=%d wall=%s B/pkt=%.0f\n",
 		mark, prof, res.Status, ce.Name, res.Report.GoalPersistence, ce.GoalPersistence,
-		res.Info.Armed, res.Info.Skipped, res.Info.WallDuration.Round(time.Millisecond))
+		res.Info.Armed, res.Info.Skipped, res.Info.WallDuration.Round(time.Millisecond), bytesPerPacket(res.Info.Net))
 	if !ok {
 		fmt.Fprintf(out, "      expected %s, got %s: %s\n", expect, res.Status, res.Verdict)
 	}
@@ -144,6 +145,14 @@ func replayOneLive(out io.Writer, ce *chaos.Counterexample, opts chaos.LiveOptio
 		fmt.Fprint(out, indent(observatory.FormatAnalysis(a, false)))
 	}
 	return ok
+}
+
+// bytesPerPacket is the mean datagram size a live run put on the wire.
+func bytesPerPacket(ns realnet.NetStats) float64 {
+	if ns.Sent == 0 {
+		return 0
+	}
+	return float64(ns.SentBytes) / float64(ns.Sent)
 }
 
 // zonesOf reads the entry's zone count for observatory analysis.
@@ -179,16 +188,16 @@ func runCityLive(out io.Writer, ce *chaos.Counterexample, scale float64, explain
 	}
 	journal := sys.Journal()
 	v := chaos.NewOracle(chaos.Config{Scenario: sc, Archetype: core.ML4}).JudgeLive(report, journal)
-	ok := !v.Failed() && info.Skipped == 0 && info.Armed == ce.Schedule.Len()
+	ok := !v.Failed() && info.Skipped == 0 && info.Armed == ce.Schedule.Len() && info.Net.EncodeErrors == 0
 	mark := "ok  "
 	status := "survived"
 	if !ok {
 		mark, status = "FAIL", "failed"
 	}
-	fmt.Fprintf(out, "%s  %-8s %-12s %-44s R=%.3f armed=%d skipped=%d wall=%s net(sent=%d recv=%d dropped=%d)\n",
+	fmt.Fprintf(out, "%s  %-8s %-12s %-44s R=%.3f armed=%d skipped=%d wall=%s net(sent=%d recv=%d dropped=%d malformed=%d encode_errors=%d B/pkt=%.0f)\n",
 		mark, "city", status, "city:"+ce.Name, report.GoalPersistence,
 		info.Armed, info.Skipped, info.WallDuration.Round(time.Millisecond),
-		info.Net.Sent, info.Net.Received, info.Net.Dropped)
+		info.Net.Sent, info.Net.Received, info.Net.Dropped, info.Net.Malformed, info.Net.EncodeErrors, bytesPerPacket(info.Net))
 	if !ok {
 		fmt.Fprintf(out, "      %s\n", v)
 	}

@@ -146,10 +146,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	gossip.RegisterWire(realnet.RegisterWireType)
-	dataflow.RegisterWire(realnet.RegisterWireType)
-	simnet.RegisterMuxWire(realnet.RegisterWireType)
-
 	node, err := realnet.NewNode(cfg.id, cfg.bind)
 	if err != nil {
 		return err
@@ -203,6 +199,7 @@ func run(args []string, out io.Writer) error {
 	var aliveGauge, keysGauge *obs.Gauge
 	var syncBytesGauge, syncEntriesGauge, syncPendingGauge *obs.Gauge
 	var netDroppedGauge, netDelayedGauge, netShapedGauge *obs.Gauge
+	var netMalformedGauge, netEncodeErrorsGauge *obs.Gauge
 	if cfg.metricsAddr != "" {
 		reg = obs.NewRegistry()
 		reg.WatchBus(bus)
@@ -217,6 +214,10 @@ func run(args []string, out io.Writer) error {
 			"datagrams routed through a shaped link's delay queue")
 		netShapedGauge = reg.Gauge("riot_realnet_shaped_total",
 			"datagrams that traversed a link with an active shaping rule")
+		netMalformedGauge = reg.Gauge("riot_realnet_malformed_total",
+			"received datagrams dropped because they did not decode")
+		netEncodeErrorsGauge = reg.Gauge("riot_realnet_encode_errors_total",
+			"sends refused because the message did not encode")
 
 		// Incident counters: every peer transition to dead opens an
 		// incident, the next alive transition closes it and records the
@@ -332,6 +333,8 @@ func run(args []string, out io.Writer) error {
 					netDroppedGauge.Set(float64(ns.Dropped))
 					netDelayedGauge.Set(float64(ns.Delayed))
 					netShapedGauge.Set(float64(ns.Shaped))
+					netMalformedGauge.Set(float64(ns.Malformed))
+					netEncodeErrorsGauge.Set(float64(ns.EncodeErrors))
 				})
 			}
 		case <-deadlineC:

@@ -16,8 +16,6 @@ import (
 )
 
 func main() {
-	gossip.RegisterWire(realnet.RegisterWireType)
-
 	const n = 5
 	cfg := gossip.Config{
 		ProbeInterval:       100 * time.Millisecond,

@@ -75,6 +75,10 @@ func (ce *Counterexample) ReplayLive(opts LiveOptions) LiveOutcome {
 		out.Err = fmt.Errorf("counterexample %s: %d schedule event(s) failed to arm on realnet", ce.Name, info.Skipped)
 		return out
 	}
+	if info.Net.EncodeErrors > 0 {
+		out.Err = fmt.Errorf("counterexample %s: %d message(s) failed to encode on realnet", ce.Name, info.Net.EncodeErrors)
+		return out
+	}
 	out.Verdict = NewOracle(cfg).JudgeLive(report, sys.Journal())
 	if out.Verdict.Failed() {
 		out.Status = ExpectStillFails

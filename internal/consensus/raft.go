@@ -140,19 +140,6 @@ type appendEntriesResp struct {
 	MatchIndex uint64
 }
 
-// RegisterWire registers the protocol's message types with a wire
-// codec (e.g. realnet's gob transport). Applications must additionally
-// register the concrete types of the commands they propose.
-func RegisterWire(register func(any)) {
-	register(requestVoteMsg{})
-	register(requestVoteResp{})
-	register(preVoteMsg{})
-	register(preVoteResp{})
-	register(appendEntriesMsg{})
-	register(appendEntriesResp{})
-	register(entry{})
-}
-
 func (m requestVoteMsg) Size() int    { return 48 }
 func (m requestVoteResp) Size() int   { return 16 }
 func (m preVoteMsg) Size() int        { return 48 }

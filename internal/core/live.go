@@ -2,15 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/consensus"
-	"repro/internal/dataflow"
 	"repro/internal/fault"
-	"repro/internal/gossip"
-	"repro/internal/mape"
-	"repro/internal/pubsub"
 	"repro/internal/realnet"
 	"repro/internal/simnet"
 )
@@ -42,7 +36,6 @@ func NewLiveSystem(cfg ScenarioConfig, arch Archetype, lc LiveConfig) (sys *Syst
 	if cfg.Shards > 0 {
 		return nil, fmt.Errorf("core: live runs do not support sharding (Shards=%d)", cfg.Shards)
 	}
-	registerLiveWire()
 	scale := lc.TimeScale
 	if scale <= 0 {
 		scale = 1
@@ -254,25 +247,4 @@ func (sys *System) faultLog() []fault.Event {
 		return sys.live.inj.Log()
 	}
 	return sys.injector.Log()
-}
-
-// registerLiveWire registers every message type the archetypes put on
-// the wire with realnet's gob codec. Idempotent; shared by all live
-// systems in the process.
-var liveWireOnce sync.Once
-
-func registerLiveWire() {
-	liveWireOnce.Do(func() {
-		simnet.RegisterMuxWire(realnet.RegisterWireType)
-		realnet.RegisterWireType(simnet.Envelope{})
-		gossip.RegisterWire(realnet.RegisterWireType)
-		dataflow.RegisterWire(realnet.RegisterWireType)
-		consensus.RegisterWire(realnet.RegisterWireType)
-		mape.RegisterWire(realnet.RegisterWireType)
-		pubsub.RegisterWire(realnet.RegisterWireType)
-		realnet.RegisterWireType(readingMsg{})
-		realnet.RegisterWireType(readingAck{})
-		realnet.RegisterWireType(actuateMsg{})
-		realnet.RegisterWireType(placementCmd{})
-	})
 }

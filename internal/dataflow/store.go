@@ -37,20 +37,6 @@ type storeInterest struct {
 	Keys []string
 }
 
-// RegisterWire registers the data plane's message and payload types
-// with a wire codec (e.g. realnet's gob transport). Applications must
-// additionally register the concrete types of their item values if
-// they are not plain Go scalars.
-func RegisterWire(register func(any)) {
-	register(storeSyncMsg{})
-	register(storeSyncAck{})
-	register(storeInterest{})
-	register(crdt.Entry{})
-	register(Item{})
-	register(Label{})
-	register(Hop{})
-}
-
 // frameOverhead is the fixed encoded cost of one sync frame: sequence
 // number, relayed flag, entry count.
 const frameOverhead = 13

@@ -179,19 +179,6 @@ type leaveMsg struct {
 	Update Update
 }
 
-// RegisterWire registers the protocol's message types with a wire
-// codec (e.g. realnet's gob transport). Call once before starting
-// nodes that communicate over a real network.
-func RegisterWire(register func(any)) {
-	register(pingMsg{})
-	register(ackMsg{})
-	register(pingReqMsg{})
-	register(joinMsg{})
-	register(joinAckMsg{})
-	register(syncMsg{})
-	register(leaveMsg{})
-}
-
 func updatesSize(us []Update) int { return 24 * len(us) }
 
 func (m pingMsg) Size() int    { return 16 + updatesSize(m.Updates) }

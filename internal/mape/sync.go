@@ -17,13 +17,6 @@ type syncMsg struct {
 // accounting.
 func (m syncMsg) Size() int { return 8 + crdt.EntriesSize(m.Entries) }
 
-// RegisterWire registers the knowledge-sync message with a wire codec
-// (e.g. realnet's gob transport). The entry payload types ride on the
-// dataflow/crdt registrations.
-func RegisterWire(register func(any)) {
-	register(syncMsg{})
-}
-
 // Syncer implements the paper's "information sharing" decentralization
 // pattern (§V): each MAPE loop self-adapts locally but periodically
 // shares its knowledge with peer loops, so that analysis and planning

@@ -61,17 +61,6 @@ type deliverMsg struct {
 	SentAt time.Duration
 }
 
-// RegisterWire registers the broker protocol's messages with a wire
-// codec (e.g. realnet's gob transport). Payload types carried inside
-// publishMsg/deliverMsg must be registered by the application.
-func RegisterWire(register func(any)) {
-	register(subscribeMsg{})
-	register(unsubscribeMsg{})
-	register(publishMsg{})
-	register(pubAckMsg{})
-	register(deliverMsg{})
-}
-
 func (m subscribeMsg) Size() int   { return 8 + len(m.Topic) }
 func (m unsubscribeMsg) Size() int { return 8 + len(m.Topic) }
 func (m publishMsg) Size() int     { return 16 + len(m.Topic) + payloadSize(m.Payload) }

@@ -9,15 +9,15 @@ import (
 	"repro/internal/simnet"
 )
 
-// pingMsg is the trivial wire payload for the injector test.
-type pingMsg struct{ N int }
+// ping is the trivial wire payload for the fault tests: a boxed
+// simnet.Envelope, whose codec the simnet package registers.
+func ping(n uint64) simnet.Envelope { return simnet.Envelope{Kind: 1, A: n} }
 
 // TestInjectorCrashRecover rehearses a crash/recover schedule on two
 // live UDP nodes: while the fault is applied the target must drop
 // traffic, silence its ticker and refuse Send; after the scheduled
 // repair it must resume, with OnDown/OnUp observing both transitions.
 func TestInjectorCrashRecover(t *testing.T) {
-	RegisterWireType(pingMsg{})
 	a, err := NewNode("a", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestInjectorCrashRecover(t *testing.T) {
 	b.Every(5*time.Millisecond, func() { ticks++ })
 	a.Run()
 	b.Run()
-	a.Every(5*time.Millisecond, func() { a.Send("b", pingMsg{N: 1}) })
+	a.Every(5*time.Millisecond, func() { a.Send("b", ping(1)) })
 
 	// Crash b at 10ms (virtual 100ms, scale 0.1) for 150ms.
 	s := (&fault.Schedule{}).Crash(100*time.Millisecond, "b", 1500*time.Millisecond)
@@ -85,7 +85,7 @@ func TestInjectorCrashRecover(t *testing.T) {
 	if c2 != c1 || t2 != t1 {
 		t.Fatalf("activity while down: received %d→%d, ticks %d→%d", c1, c2, t1, t2)
 	}
-	if b.Send("a", pingMsg{N: 2}) {
+	if b.Send("a", ping(2)) {
 		t.Fatal("Send succeeded on a crashed node")
 	}
 

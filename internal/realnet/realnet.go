@@ -18,13 +18,17 @@
 // of a fault.Schedule replays on live sockets. Fabric coordinates those
 // per-node controls across a node set with simnet's exact semantics.
 //
-// Wire format: gob. Protocol packages register their message types via
-// their RegisterWire functions before nodes start.
+// Wire format: one datagram is one internal/wire frame — the sender ID
+// as a uvarint-length-prefixed string, a one-byte message tag, then the
+// message's fields as varints, length-prefixed strings and slices. Each
+// protocol package registers the codecs of its message types at init,
+// so importing a protocol is all it takes to send its messages. A
+// datagram that does not decode is dropped and counted in
+// NetStats.Malformed; a message the codec cannot encode fails Send and
+// is counted in NetStats.EncodeErrors.
 package realnet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"net"
@@ -33,20 +37,8 @@ import (
 	"time"
 
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
-
-// wireEnvelope frames one datagram.
-type wireEnvelope struct {
-	From    simnet.NodeID
-	Payload any
-}
-
-// RegisterWireType makes a message type encodable. Call once per
-// concrete message type before any node starts (protocol packages
-// export RegisterWire helpers that do this for their types).
-func RegisterWireType(value any) {
-	gob.Register(value)
-}
 
 // maxDatagram bounds encoded message size.
 const maxDatagram = 64 * 1024
@@ -61,21 +53,25 @@ const shapeQueueCap = 4096
 // whose link was cut before delivery — not sends refused because the
 // node itself was down.
 type NetStats struct {
-	Sent      int64 // datagrams written to the socket
-	SentBytes int64 // bytes written to the socket
-	Received  int64 // datagrams delivered to the handler
-	Dropped   int64 // datagrams dropped by partition/loss/overflow
-	Delayed   int64 // datagrams routed through a delay queue
-	Shaped    int64 // datagrams that traversed a shaped link
+	Sent         int64 // datagrams written to the socket
+	SentBytes    int64 // bytes written to the socket
+	Received     int64 // datagrams delivered to the handler
+	Dropped      int64 // datagrams dropped by partition/loss/overflow
+	Delayed      int64 // datagrams routed through a delay queue
+	Shaped       int64 // datagrams that traversed a shaped link
+	Malformed    int64 // datagrams received that did not decode
+	EncodeErrors int64 // sends refused because the message did not encode
 }
 
 type netCounters struct {
-	sent      atomic.Int64
-	sentBytes atomic.Int64
-	received  atomic.Int64
-	dropped   atomic.Int64
-	delayed   atomic.Int64
-	shaped    atomic.Int64
+	sent         atomic.Int64
+	sentBytes    atomic.Int64
+	received     atomic.Int64
+	dropped      atomic.Int64
+	delayed      atomic.Int64
+	shaped       atomic.Int64
+	malformed    atomic.Int64
+	encodeErrors atomic.Int64
 }
 
 // delayedPacket is one encoded datagram waiting in a link's delay
@@ -122,6 +118,9 @@ type Node struct {
 	shapes  map[simnet.NodeID]*linkShape
 
 	stat netCounters
+
+	wmu sync.Mutex  // guards w across concurrent Sends
+	w   wire.Writer // frame buffer reused by every Send
 
 	events chan func()
 	done   chan struct{}
@@ -207,12 +206,14 @@ func (n *Node) wall(d time.Duration) time.Duration {
 // NetStats returns a snapshot of the node's traffic counters.
 func (n *Node) NetStats() NetStats {
 	return NetStats{
-		Sent:      n.stat.sent.Load(),
-		SentBytes: n.stat.sentBytes.Load(),
-		Received:  n.stat.received.Load(),
-		Dropped:   n.stat.dropped.Load(),
-		Delayed:   n.stat.delayed.Load(),
-		Shaped:    n.stat.shaped.Load(),
+		Sent:         n.stat.sent.Load(),
+		SentBytes:    n.stat.sentBytes.Load(),
+		Received:     n.stat.received.Load(),
+		Dropped:      n.stat.dropped.Load(),
+		Delayed:      n.stat.delayed.Load(),
+		Shaped:       n.stat.shaped.Load(),
+		Malformed:    n.stat.malformed.Load(),
+		EncodeErrors: n.stat.encodeErrors.Load(),
 	}
 }
 
@@ -256,20 +257,25 @@ func (n *Node) Close() {
 func (n *Node) readLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, maxDatagram)
+	var rd wire.Reader
 	for {
 		sz, _, err := n.conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed
 		}
-		var env wireEnvelope
-		if err := gob.NewDecoder(bytes.NewReader(buf[:sz])).Decode(&env); err != nil {
-			continue // malformed datagram
+		// The decoded message copies what it keeps out of buf, so the
+		// next read may overwrite it.
+		sender, msg, err := rd.Frame(buf[:sz])
+		if err != nil {
+			n.stat.malformed.Add(1)
+			continue
 		}
+		from := simnet.NodeID(sender)
 		n.post(func() {
 			n.mu.Lock()
 			h := n.handler
 			down := n.down
-			blocked := n.blocked[env.From]
+			blocked := n.blocked[from]
 			n.mu.Unlock()
 			if blocked {
 				// The sender was partitioned away by the time the
@@ -280,7 +286,7 @@ func (n *Node) readLoop() {
 			}
 			if h != nil && !down {
 				n.stat.received.Add(1)
-				h(env.From, env.Payload)
+				h(from, msg)
 			}
 		})
 	}
@@ -421,13 +427,14 @@ func (n *Node) Down() bool {
 // encoding failures report false, as do sends refused by an injected
 // fault: a down node, a partitioned peer, or a loss draw on a shaped
 // link — mirroring simnet, where Send reports false when the message
-// will not arrive.
+// will not arrive. A message with no codec, or one whose frame exceeds
+// a datagram, counts in NetStats.EncodeErrors.
 func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wireEnvelope{From: n.id, Payload: msg}); err != nil {
-		return false
-	}
-	if buf.Len() > maxDatagram {
+	n.wmu.Lock()
+	defer n.wmu.Unlock()
+	buf, err := n.w.Frame(string(n.id), msg)
+	if err != nil || len(buf) > maxDatagram {
+		n.stat.encodeErrors.Add(1)
 		return false
 	}
 
@@ -457,7 +464,7 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 			// ClearShapedLink/Close) while mu is held and the shape
 			// removed from the map, so this send cannot race a close.
 			pkt := delayedPacket{
-				data: append([]byte(nil), buf.Bytes()...),
+				data: append([]byte(nil), buf...),
 				addr: addr,
 				to:   to,
 				due:  time.Now().Add(delay),
@@ -476,12 +483,12 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 	}
 	n.mu.Unlock()
 
-	_, err := n.conn.WriteToUDP(buf.Bytes(), addr)
-	if err == nil {
-		n.stat.sent.Add(1)
-		n.stat.sentBytes.Add(int64(buf.Len()))
+	if _, err := n.conn.WriteToUDP(buf, addr); err != nil {
+		return false
 	}
-	return err == nil
+	n.stat.sent.Add(1)
+	n.stat.sentBytes.Add(int64(len(buf)))
+	return true
 }
 
 // SetBlocked replaces the set of peers this node must not exchange

@@ -20,7 +20,6 @@ type shaperHarness struct {
 
 func newShaperHarness(t *testing.T, ids ...simnet.NodeID) *shaperHarness {
 	t.Helper()
-	RegisterWireType(pingMsg{})
 	h := &shaperHarness{
 		t:       t,
 		cluster: NewCluster(ClusterConfig{Seed: 7}),
@@ -72,7 +71,7 @@ func TestShaperPartitionDuringDelayedPacket(t *testing.T) {
 	f.DegradeLink("a", "b", 200*time.Millisecond, 0)
 
 	a := h.cluster.Node("a")
-	if !a.Send("b", pingMsg{N: 1}) {
+	if !a.Send("b", ping(1)) {
 		t.Fatal("send into delay queue refused")
 	}
 	// Partition before the 200ms delay elapses.
@@ -88,7 +87,7 @@ func TestShaperPartitionDuringDelayedPacket(t *testing.T) {
 	// Heal: fresh traffic flows again (the queued packet stays dead).
 	f.HealPartition()
 	h.waitFor("traffic after heal", 2*time.Second, func() bool {
-		a.Send("b", pingMsg{N: 2})
+		a.Send("b", ping(2))
 		return h.received("b") > 0
 	})
 }
@@ -103,7 +102,7 @@ func TestLinkRestoreWithoutDegrade(t *testing.T) {
 
 	a := h.cluster.Node("a")
 	h.waitFor("traffic after bare restore", 2*time.Second, func() bool {
-		a.Send("b", pingMsg{N: 1})
+		a.Send("b", ping(1))
 		return h.received("b") > 0
 	})
 	if s := a.NetStats(); s.Shaped != 0 || s.Dropped != 0 {
@@ -133,10 +132,10 @@ func TestOverlappingPartitionsSingleHeal(t *testing.T) {
 		t.Fatal("c reachable through layered partitions")
 	}
 	a, c := h.cluster.Node("a"), h.cluster.Node("c")
-	if a.Send("c", pingMsg{N: 1}) {
+	if a.Send("c", ping(1)) {
 		t.Fatal("send across partition succeeded")
 	}
-	if c.Send("a", pingMsg{N: 1}) {
+	if c.Send("a", ping(1)) {
 		t.Fatal("send across partition succeeded (reverse)")
 	}
 
@@ -146,7 +145,7 @@ func TestOverlappingPartitionsSingleHeal(t *testing.T) {
 		t.Fatal("single PartitionEnd did not heal layered partitions")
 	}
 	h.waitFor("a→c traffic after heal", 2*time.Second, func() bool {
-		a.Send("c", pingMsg{N: 2})
+		a.Send("c", ping(2))
 		return h.received("c") > 0
 	})
 }
@@ -173,7 +172,7 @@ func TestCrashPlusPartitionSameNode(t *testing.T) {
 		t.Fatal("recover not applied")
 	}
 	a := h.cluster.Node("a")
-	if a.Send("b", pingMsg{N: 1}) {
+	if a.Send("b", ping(1)) {
 		t.Fatal("send crossed a partition after crash recovery")
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -184,7 +183,7 @@ func TestCrashPlusPartitionSameNode(t *testing.T) {
 	// Heal: now traffic flows.
 	inj.Inject(fault.Event{Kind: fault.KindPartitionEnd})
 	h.waitFor("traffic after heal", 2*time.Second, func() bool {
-		a.Send("b", pingMsg{N: 2})
+		a.Send("b", ping(2))
 		return h.received("b") > 0
 	})
 }
@@ -199,7 +198,7 @@ func TestSeededLossIsReproducible(t *testing.T) {
 		a := h.cluster.Node("a")
 		var out []bool
 		for i := 0; i < 64; i++ {
-			out = append(out, a.Send("b", pingMsg{N: i}))
+			out = append(out, a.Send("b", ping(uint64(i))))
 		}
 		return out
 	}

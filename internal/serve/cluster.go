@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,18 +53,6 @@ type Cluster struct {
 	Nodes []*ClusterNode
 }
 
-var wireOnce sync.Once
-
-// registerWire makes the cluster's protocol messages gob-encodable
-// exactly once per process (idempotent with riotnode's own calls).
-func registerWire() {
-	wireOnce.Do(func() {
-		gossip.RegisterWire(realnet.RegisterWireType)
-		dataflow.RegisterWire(realnet.RegisterWireType)
-		simnet.RegisterMuxWire(realnet.RegisterWireType)
-	})
-}
-
 // StartCluster boots n nodes on ephemeral loopback ports (UDP for the
 // protocols, TCP for the serve API), joins them through node 0, and
 // returns once every server is accepting. Callers own Close.
@@ -82,7 +69,6 @@ func StartCluster(n int, opts ClusterOptions) (*Cluster, error) {
 	if opts.Registries != nil && len(opts.Registries) != n {
 		return nil, fmt.Errorf("serve: %d registries for %d nodes", len(opts.Registries), n)
 	}
-	registerWire()
 
 	c := &Cluster{}
 	ok := false

@@ -313,8 +313,8 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
-	// Values must survive the gob wire between stores, so only scalar
-	// JSON values are accepted (numbers arrive as float64).
+	// Values travel between stores in the wire codec's value union, so
+	// only scalar JSON values are accepted (numbers arrive as float64).
 	switch body.Value.(type) {
 	case float64, string, bool:
 	default:

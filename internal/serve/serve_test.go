@@ -29,7 +29,6 @@ type testStack struct {
 
 func newTestStack(t *testing.T) *testStack {
 	t.Helper()
-	registerWire()
 	node, err := realnet.NewNode("solo", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

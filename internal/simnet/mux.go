@@ -79,13 +79,6 @@ func NewPortMux(p Port) *Mux {
 	return m
 }
 
-// RegisterMuxWire registers the mux's envelope type with a wire codec
-// (e.g. realnet's gob transport). Required when multiplexed protocols
-// run over a real network.
-func RegisterMuxWire(register func(any)) {
-	register(envelope{})
-}
-
 func (m *Mux) dispatch(from NodeID, msg Message) {
 	env, ok := msg.(envelope)
 	if !ok {
