@@ -42,3 +42,36 @@ func BenchmarkConvergence(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkProbeRound measures one member of a 208-member group (the
+// city's gateways and cloudlets) with a full broadcast queue: each op
+// sends a ping, answers a ping with an ack (two piggyback selections
+// of up to MaxPiggyback updates each), and refreshes one member's
+// incarnation, which re-queues its update in place. Refreshes cycle
+// through the group faster than updates retire, so every other member
+// stays queued. Peers are not simulated nodes, so the sends are
+// dropped at the sender and only the protocol's own work is measured.
+func BenchmarkProbeRound(b *testing.B) {
+	sim := simnet.New(simnet.WithSeed(1))
+	p := New(sim.AddNode("gw-000"), Config{})
+	peers := make([]simnet.NodeID, 207)
+	for i := range peers {
+		peers[i] = simnet.NodeID(fmt.Sprintf("gw-%03d", i+1))
+		p.applyUpdate(Update{ID: peers[i], Status: StatusAlive})
+	}
+	if len(p.queue) != len(peers) {
+		b.Fatalf("queue holds %d updates, want %d", len(p.queue), len(peers))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		peer := peers[i%len(peers)]
+		p.sendPing(peer, p.nextSeq())
+		p.onPing(peer, uint64(i), nil)
+		p.applyUpdate(Update{ID: peer, Status: StatusAlive, Incarnation: incOf(p, peer) + 1})
+	}
+	b.StopTimer()
+	if len(p.queue) != len(peers) {
+		b.Fatalf("queue drained to %d updates, want %d", len(p.queue), len(peers))
+	}
+}

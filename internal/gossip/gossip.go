@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -202,11 +201,18 @@ const (
 type memberState struct {
 	Member
 	suspectTimer *simnet.Timer
+	// pending is the member's update awaiting piggybacking while queued
+	// is set; the queue holds at most one update per member.
+	pending Update
+	queued  bool
 }
 
-// broadcast is an update queued for piggybacking.
+// broadcast is a piggyback queue entry: the member whose pending update
+// it carries and how often that update has been transmitted. Entries
+// are two words, so reordering the queue on every message moves little
+// memory.
 type broadcast struct {
-	update    Update
+	ms        *memberState
 	transmits int
 }
 
@@ -219,10 +225,20 @@ type Protocol struct {
 
 	incarnation uint64
 	members     map[simnet.NodeID]*memberState
-	queue       []*broadcast
-	probeOrder  []simnet.NodeID
-	probeIdx    int
-	seqCounter  uint64
+	// byID holds every member (self included) in ID order, and
+	// probeable counts those that are neither self nor dead. Both
+	// change only with membership, so the per-message paths (probe
+	// target choice, helper selection, full-state exchange) walk or
+	// count instead of collecting and sorting the map each time.
+	byID      []*memberState
+	probeable int
+	queue     []broadcast
+	// spare and counts are takePiggyback's counting-sort scratch.
+	spare      []broadcast
+	counts     []int
+	probeOrder []simnet.NodeID
+	probeIdx   int
+	seqCounter uint64
 	// pending acks: seq → callback(acked bool) resolution state
 	acked    map[uint64]*simnet.Timer
 	relaySeq map[uint64]relay // indirect probe relays
@@ -260,7 +276,9 @@ func New(ep simnet.Port, cfg Config) *Protocol {
 		acked:    make(map[uint64]*simnet.Timer),
 		relaySeq: make(map[uint64]relay),
 	}
-	p.members[ep.ID()] = &memberState{Member: Member{ID: ep.ID(), Status: StatusAlive}}
+	self := &memberState{Member: Member{ID: ep.ID(), Status: StatusAlive}}
+	p.members[ep.ID()] = self
+	p.byID = []*memberState{self}
 	ep.OnMessage(p.handle)
 	if ec, ok := ep.(simnet.EnvelopeCarrier); ok {
 		p.ec = ec
@@ -310,19 +328,15 @@ func (p *Protocol) Start(seeds ...simnet.NodeID) {
 func (p *Protocol) Leave() {
 	dead := Update{ID: p.ep.ID(), Status: StatusDead, Incarnation: p.incarnation}
 	msg := leaveMsg{Update: dead}
-	// Broadcast to every non-dead member, in sorted order: a member the
-	// leaver falsely suspects must still hear the farewell directly, and
-	// iterating the map raw would make send order (and thus per-target
-	// latency jitter) depend on map hashing rather than on the seed.
-	ids := make([]simnet.NodeID, 0, len(p.members))
-	for id, ms := range p.members {
-		if id != p.ep.ID() && ms.Status != StatusDead {
-			ids = append(ids, id)
+	// Broadcast to every non-dead member, suspects included: a member
+	// the leaver falsely suspects must still hear the farewell directly.
+	// Sends follow the ID-ordered index, so send order (and thus
+	// per-target latency jitter) depends on the seed, not map hashing.
+	selfID := p.ep.ID()
+	for _, ms := range p.byID {
+		if ms.ID != selfID && ms.Status != StatusDead {
+			p.ep.Send(ms.ID, msg)
 		}
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		p.ep.Send(id, msg)
 	}
 	self := p.members[p.ep.ID()]
 	self.Status = StatusDead
@@ -350,18 +364,16 @@ func (p *Protocol) Stop() {
 // and the refutation machinery reconverges both sides without any
 // external reseeding.
 func (p *Protocol) antiEntropy() {
-	var pool []simnet.NodeID
-	for id := range p.members {
-		if id != p.ep.ID() {
-			pool = append(pool, id)
-		}
-	}
-	if len(pool) == 0 {
+	others := len(p.byID) - 1
+	if others == 0 {
 		return
 	}
-	slices.Sort(pool)
-	target := pool[p.ep.Rand().Intn(len(pool))]
-	p.ep.Send(target, syncMsg{Members: p.fullState()})
+	// Draw among the members other than self, in ID order.
+	i := p.ep.Rand().Intn(others)
+	if self, _ := p.indexOf(p.ep.ID()); i >= self {
+		i++
+	}
+	p.ep.Send(p.byID[i].ID, syncMsg{Members: p.fullState()})
 }
 
 // onRecover runs when the underlying node comes back up after a crash:
@@ -373,16 +385,22 @@ func (p *Protocol) onRecover() {
 	}
 	p.left = false // a restarted node rejoins deliberately
 	p.incarnation++
-	for id, ms := range p.members {
-		if id != p.ep.ID() {
+	self := p.members[p.ep.ID()]
+	for _, ms := range p.byID {
+		if ms != self {
 			stopSuspect(ms)
-			delete(p.members, id)
+			delete(p.members, ms.ID)
 		}
 	}
-	self := p.members[p.ep.ID()]
+	clear(p.byID)
+	p.byID = append(p.byID[:0], self)
+	p.probeable = 0
 	self.Status = StatusAlive
 	self.Incarnation = p.incarnation
-	p.queue = nil
+	self.queued = false
+	clear(p.queue)
+	clear(p.spare)
+	p.queue = p.queue[:0]
 	p.probeOrder = nil
 	p.probeIdx = 0
 	p.enqueue(Update{ID: p.ep.ID(), Status: StatusAlive, Incarnation: p.incarnation})
@@ -404,11 +422,10 @@ func stopSuspect(ms *memberState) {
 // Members returns a snapshot of all known members (including self),
 // sorted by ID.
 func (p *Protocol) Members() []Member {
-	out := make([]Member, 0, len(p.members))
-	for _, ms := range p.members {
-		out = append(out, ms.Member)
+	out := make([]Member, len(p.byID))
+	for i, ms := range p.byID {
+		out[i] = ms.Member
 	}
-	slices.SortFunc(out, func(a, b Member) int { return strings.Compare(string(a.ID), string(b.ID)) })
 	return out
 }
 
@@ -416,12 +433,11 @@ func (p *Protocol) Members() []Member {
 // self), sorted.
 func (p *Protocol) Alive() []simnet.NodeID {
 	var out []simnet.NodeID
-	for id, ms := range p.members {
+	for _, ms := range p.byID {
 		if ms.Status == StatusAlive {
-			out = append(out, id)
+			out = append(out, ms.ID)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -484,13 +500,7 @@ func (p *Protocol) indirectProbe(target simnet.NodeID) {
 }
 
 func (p *Protocol) nextProbeTarget() (simnet.NodeID, bool) {
-	candidates := 0
-	for id, ms := range p.members {
-		if id != p.ep.ID() && ms.Status != StatusDead {
-			candidates++
-		}
-	}
-	if candidates == 0 {
+	if p.probeable == 0 {
 		return "", false
 	}
 	for tries := 0; tries < len(p.members)+1; tries++ {
@@ -511,12 +521,12 @@ func (p *Protocol) nextProbeTarget() (simnet.NodeID, bool) {
 
 func (p *Protocol) reshuffleProbeOrder() {
 	p.probeOrder = p.probeOrder[:0]
-	for id, ms := range p.members {
-		if id != p.ep.ID() && ms.Status != StatusDead {
-			p.probeOrder = append(p.probeOrder, id)
+	selfID := p.ep.ID()
+	for _, ms := range p.byID {
+		if ms.ID != selfID && ms.Status != StatusDead {
+			p.probeOrder = append(p.probeOrder, ms.ID)
 		}
 	}
-	slices.Sort(p.probeOrder)
 	p.ep.Rand().Shuffle(len(p.probeOrder), func(i, j int) {
 		p.probeOrder[i], p.probeOrder[j] = p.probeOrder[j], p.probeOrder[i]
 	})
@@ -525,12 +535,12 @@ func (p *Protocol) reshuffleProbeOrder() {
 
 func (p *Protocol) randomAliveExcept(n int, except simnet.NodeID) []simnet.NodeID {
 	var pool []simnet.NodeID
-	for id, ms := range p.members {
-		if id != p.ep.ID() && id != except && ms.Status == StatusAlive {
-			pool = append(pool, id)
+	selfID := p.ep.ID()
+	for _, ms := range p.byID {
+		if ms.ID != selfID && ms.ID != except && ms.Status == StatusAlive {
+			pool = append(pool, ms.ID)
 		}
 	}
-	slices.Sort(pool)
 	p.ep.Rand().Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	if len(pool) > n {
 		pool = pool[:n]
@@ -563,16 +573,22 @@ func (p *Protocol) notify(m Member) {
 	}
 }
 
+// enqueue queues an update about a known member for piggybacking. An
+// update already queued for the same member is replaced in place, with
+// its transmit count reset: the newest claim supersedes older ones.
 func (p *Protocol) enqueue(u Update) {
-	// Replace any queued update for the same member: the newest claim
-	// supersedes older ones.
-	for i, b := range p.queue {
-		if b.update.ID == u.ID {
-			p.queue[i] = &broadcast{update: u}
-			return
+	ms := p.members[u.ID]
+	ms.pending = u
+	if ms.queued {
+		for i := range p.queue {
+			if p.queue[i].ms == ms {
+				p.queue[i].transmits = 0
+				return
+			}
 		}
 	}
-	p.queue = append(p.queue, &broadcast{update: u})
+	ms.queued = true
+	p.queue = append(p.queue, broadcast{ms: ms})
 }
 
 func (p *Protocol) retransmitLimit() int {
@@ -586,21 +602,68 @@ func (p *Protocol) takePiggyback() []Update {
 	if len(p.queue) == 0 {
 		return nil
 	}
-	sort.SliceStable(p.queue, func(i, j int) bool { return p.queue[i].transmits < p.queue[j].transmits })
+	p.sortQueue()
 	limit := p.retransmitLimit()
 	var out []Update
+	if n := min(p.cfg.MaxPiggyback, len(p.queue)); n > 0 {
+		out = make([]Update, 0, n)
+	}
 	kept := p.queue[:0]
-	for _, b := range p.queue {
+	for i := range p.queue {
+		b := p.queue[i]
 		if len(out) < p.cfg.MaxPiggyback {
-			out = append(out, b.update)
+			out = append(out, b.ms.pending)
 			b.transmits++
 		}
 		if b.transmits < limit {
 			kept = append(kept, b)
+		} else {
+			b.ms.queued = false
 		}
 	}
 	p.queue = kept
 	return out
+}
+
+// sortQueue orders the broadcast queue by transmit count, keeping
+// queue order among equal counts: the order a stable sort gives. The
+// counts are small (below the retransmit limit), so one counting pass
+// into reused scratch replaces a comparison sort on every ping and ack.
+func (p *Protocol) sortQueue() {
+	maxT, sorted := 0, true
+	for i := range p.queue {
+		if t := p.queue[i].transmits; t > maxT {
+			maxT = t
+		} else if t < maxT {
+			sorted = false
+		}
+	}
+	if sorted {
+		return
+	}
+	if cap(p.counts) <= maxT {
+		p.counts = make([]int, maxT+1)
+	}
+	counts := p.counts[:maxT+1]
+	clear(counts)
+	for i := range p.queue {
+		counts[p.queue[i].transmits]++
+	}
+	next := 0
+	for t, c := range counts {
+		counts[t] = next
+		next += c
+	}
+	if cap(p.spare) < len(p.queue) {
+		p.spare = make([]broadcast, len(p.queue), cap(p.queue))
+	}
+	out := p.spare[:len(p.queue)]
+	for i := range p.queue {
+		t := p.queue[i].transmits
+		out[counts[t]] = p.queue[i]
+		counts[t]++
+	}
+	p.queue, p.spare = out, p.queue
 }
 
 // applyUpdate merges a membership claim into local state, refuting
@@ -627,7 +690,7 @@ func (p *Protocol) applyUpdate(u Update) {
 			return // don't learn already-dead strangers
 		}
 		ms = &memberState{Member: Member{ID: u.ID, Status: u.Status, Incarnation: u.Incarnation}}
-		p.members[u.ID] = ms
+		p.addMember(ms)
 		p.enqueue(u)
 		if u.Status == StatusSuspect {
 			p.armSuspicion(ms)
@@ -639,7 +702,7 @@ func (p *Protocol) applyUpdate(u Update) {
 		return
 	}
 	prev := ms.Status
-	ms.Status = u.Status
+	p.setStatus(ms, u.Status)
 	ms.Incarnation = u.Incarnation
 	switch u.Status {
 	case StatusAlive:
@@ -655,6 +718,38 @@ func (p *Protocol) applyUpdate(u Update) {
 	if prev != u.Status {
 		p.notify(ms.Member)
 	}
+}
+
+// addMember records a newly learned member (never self, never dead) in
+// the map and the ID-ordered index.
+func (p *Protocol) addMember(ms *memberState) {
+	p.members[ms.ID] = ms
+	i, _ := p.indexOf(ms.ID)
+	p.byID = slices.Insert(p.byID, i, ms)
+	if ms.Status != StatusDead {
+		p.probeable++
+	}
+}
+
+// indexOf locates id in the ID-ordered index: its position if present,
+// otherwise the position it would be inserted at.
+func (p *Protocol) indexOf(id simnet.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(p.byID, id, func(ms *memberState, id simnet.NodeID) int {
+		return strings.Compare(string(ms.ID), string(id))
+	})
+}
+
+// setStatus changes a member's status, keeping the probeable count.
+// Self is never probeable, whatever its status.
+func (p *Protocol) setStatus(ms *memberState, s Status) {
+	if ms.ID != p.ep.ID() {
+		if ms.Status == StatusDead && s != StatusDead {
+			p.probeable++
+		} else if ms.Status != StatusDead && s == StatusDead {
+			p.probeable--
+		}
+	}
+	ms.Status = s
 }
 
 func (p *Protocol) armSuspicion(ms *memberState) {
@@ -782,10 +877,9 @@ func (p *Protocol) applyAll(us []Update) {
 }
 
 func (p *Protocol) fullState() []Update {
-	out := make([]Update, 0, len(p.members))
-	for _, ms := range p.members {
-		out = append(out, Update(ms.Member))
+	out := make([]Update, len(p.byID))
+	for i, ms := range p.byID {
+		out[i] = Update(ms.Member)
 	}
-	slices.SortFunc(out, func(a, b Update) int { return strings.Compare(string(a.ID), string(b.ID)) })
 	return out
 }

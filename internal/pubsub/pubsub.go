@@ -8,7 +8,7 @@
 package pubsub
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -84,14 +84,16 @@ func payloadSize(p any) int {
 // they are broker-side state created before the crash is wiped — a
 // faithful model of a non-replicated broker deployment.
 type Broker struct {
-	ep   simnet.Port
-	ec   simnet.EnvelopeCarrier // non-nil when ep supports inline envelopes
-	subs map[string]map[simnet.NodeID]struct{}
+	ep simnet.Port
+	ec simnet.EnvelopeCarrier // non-nil when ep supports inline envelopes
+	// subs maps each subscription pattern to its subscribers, in ID
+	// order.
+	subs *patterns[simnet.NodeID]
 	// local are in-process subscribers: applications colocated with
 	// the broker (e.g. a cloud-side controller next to a cloud
 	// broker). They are part of the application deployment, so unlike
 	// network subscriptions they survive broker restarts.
-	local map[string][]MessageHandler
+	local *patterns[MessageHandler]
 	// retained holds each topic's last retained publication.
 	retained map[string]any
 	// delivered counts fan-out deliveries sent, for experiments.
@@ -104,8 +106,8 @@ type Broker struct {
 func NewBroker(ep simnet.Port) *Broker {
 	b := &Broker{
 		ep:       ep,
-		subs:     make(map[string]map[simnet.NodeID]struct{}),
-		local:    make(map[string][]MessageHandler),
+		subs:     newPatterns[simnet.NodeID](),
+		local:    newPatterns[MessageHandler](),
 		retained: make(map[string]any),
 	}
 	b.ec, _ = ep.(simnet.EnvelopeCarrier)
@@ -113,7 +115,7 @@ func NewBroker(ep simnet.Port) *Broker {
 	ep.OnUp(func() {
 		// A restarted broker has lost its subscription table and its
 		// retained messages.
-		b.subs = make(map[string]map[simnet.NodeID]struct{})
+		b.subs = newPatterns[simnet.NodeID]()
 		b.retained = make(map[string]any)
 	})
 	return b
@@ -124,14 +126,10 @@ func NewBroker(ep simnet.Port) *Broker {
 // clients with a bus can report "pubsub.deliver" latency spans.
 func (b *Broker) SetBus(bus *obs.Bus) { b.bus = bus }
 
-// Subscribers returns the subscriber IDs for a topic, sorted.
-func (b *Broker) Subscribers(topic string) []simnet.NodeID {
-	var out []simnet.NodeID
-	for id := range b.subs[topic] {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// Subscribers returns the subscriber IDs of a subscription pattern,
+// sorted.
+func (b *Broker) Subscribers(pattern string) []simnet.NodeID {
+	return slices.Clone(b.subs.get(pattern))
 }
 
 // Delivered returns how many deliver messages the broker has sent.
@@ -142,7 +140,7 @@ func (b *Broker) Delivered() int { return b.delivered }
 // survive broker restarts (they are application wiring, not protocol
 // state).
 func (b *Broker) SubscribeLocal(topic string, h MessageHandler) {
-	b.local[topic] = append(b.local[topic], h)
+	b.local.set(topic, append(b.local.get(topic), h))
 }
 
 // Inject publishes a message on behalf of an application colocated
@@ -161,26 +159,18 @@ func (b *Broker) InjectRetained(topic string, payload any) {
 func (b *Broker) handle(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
 	case subscribeMsg:
-		if b.subs[m.Topic] == nil {
-			b.subs[m.Topic] = make(map[simnet.NodeID]struct{})
+		ids := b.subs.get(m.Topic)
+		i, dup := slices.BinarySearch(ids, from)
+		if dup {
+			return
 		}
-		isNew := true
-		if _, dup := b.subs[m.Topic][from]; dup {
-			isNew = false
-		}
-		b.subs[m.Topic][from] = struct{}{}
-		// Hand a fresh subscriber the retained state of every topic
-		// the (possibly wildcard) subscription covers.
-		if isNew {
-			for topic, payload := range b.retained {
-				if TopicMatches(m.Topic, topic) {
-					b.delivered++
-					b.ep.Send(from, deliverMsg{Topic: topic, Payload: payload})
-				}
-			}
-		}
+		b.subs.set(m.Topic, slices.Insert(ids, i, from))
+		b.replayRetained(from, m.Topic)
 	case unsubscribeMsg:
-		delete(b.subs[m.Topic], from)
+		ids := b.subs.get(m.Topic)
+		if i, ok := slices.BinarySearch(ids, from); ok {
+			b.subs.set(m.Topic, slices.Delete(ids, i, i+1))
+		}
 	case publishMsg:
 		if m.ID != 0 {
 			if b.ec != nil {
@@ -196,35 +186,152 @@ func (b *Broker) handle(from simnet.NodeID, msg simnet.Message) {
 	}
 }
 
+// replayRetained hands a fresh subscriber the retained state of every
+// topic its (possibly wildcard) pattern covers, in topic order.
+func (b *Broker) replayRetained(to simnet.NodeID, pattern string) {
+	if !isWildcard(pattern) {
+		if payload, ok := b.retained[pattern]; ok {
+			b.delivered++
+			b.ep.Send(to, deliverMsg{Topic: pattern, Payload: payload})
+		}
+		return
+	}
+	var topics []string
+	for topic := range b.retained {
+		if TopicMatches(pattern, topic) {
+			topics = append(topics, topic)
+		}
+	}
+	slices.Sort(topics)
+	for _, topic := range topics {
+		b.delivered++
+		b.ep.Send(to, deliverMsg{Topic: topic, Payload: b.retained[topic]})
+	}
+}
+
 // fanOut delivers a publication to every subscriber whose pattern
-// matches, except the publisher itself.
+// matches, except the publisher itself: exact-pattern subscribers
+// first, then wildcard ones by pattern, each pattern's in ID order.
 func (b *Broker) fanOut(from simnet.NodeID, topic string, payload any) {
 	var sentAt time.Duration
 	if b.bus.Active() {
 		sentAt = b.bus.Now()
 		b.bus.Emit("pubsub.publish", string(b.ep.ID()), 0, 0, "topic %s from %s", topic, from)
 	}
-	for pattern, subs := range b.subs {
-		if !TopicMatches(pattern, topic) {
-			continue
-		}
-		for id := range subs {
+	b.subs.match(topic, func(ids []simnet.NodeID) {
+		for _, id := range ids {
 			if id == from {
 				continue
 			}
 			b.delivered++
 			b.ep.Send(id, deliverMsg{Topic: topic, Payload: payload, SentAt: sentAt})
 		}
-	}
-	for pattern, handlers := range b.local {
-		if !TopicMatches(pattern, topic) {
-			continue
-		}
+	})
+	b.local.match(topic, func(handlers []MessageHandler) {
 		for _, h := range handlers {
 			b.delivered++
 			h(topic, payload)
 		}
+	})
+}
+
+// patterns indexes subscription patterns. A pattern with no "+" or "#"
+// level matches exactly the topic spelled the same, so it is found with
+// one map lookup; wildcard patterns are kept apart, in pattern order,
+// and matched one by one. A published topic that itself spells a
+// wildcard pattern is therefore reached only through the wildcard list
+// and never delivered twice. A pattern left with no values is dropped.
+type patterns[T any] struct {
+	exact map[string][]T
+	wild  []wildPattern[T]
+}
+
+type wildPattern[T any] struct {
+	pattern string
+	vals    []T
+}
+
+func newPatterns[T any]() *patterns[T] {
+	return &patterns[T]{exact: make(map[string][]T)}
+}
+
+// isWildcard reports whether a pattern has a "+" or "#" level.
+func isWildcard(pattern string) bool {
+	for {
+		level, rest, more := strings.Cut(pattern, "/")
+		if level == "+" || level == "#" {
+			return true
+		}
+		if !more {
+			return false
+		}
+		pattern = rest
 	}
+}
+
+func (x *patterns[T]) findWild(pattern string) (int, bool) {
+	return slices.BinarySearchFunc(x.wild, pattern, func(w wildPattern[T], p string) int {
+		return strings.Compare(w.pattern, p)
+	})
+}
+
+// get returns the values registered under pattern.
+func (x *patterns[T]) get(pattern string) []T {
+	if !isWildcard(pattern) {
+		return x.exact[pattern]
+	}
+	if i, ok := x.findWild(pattern); ok {
+		return x.wild[i].vals
+	}
+	return nil
+}
+
+// set replaces the values registered under pattern; none removes it.
+func (x *patterns[T]) set(pattern string, vals []T) {
+	if !isWildcard(pattern) {
+		if len(vals) == 0 {
+			delete(x.exact, pattern)
+		} else {
+			x.exact[pattern] = vals
+		}
+		return
+	}
+	i, ok := x.findWild(pattern)
+	switch {
+	case ok && len(vals) == 0:
+		x.wild = slices.Delete(x.wild, i, i+1)
+	case ok:
+		x.wild[i].vals = vals
+	case len(vals) > 0:
+		x.wild = slices.Insert(x.wild, i, wildPattern[T]{pattern: pattern, vals: vals})
+	}
+}
+
+// match calls visit with the values of every pattern covering topic:
+// the exact pattern first, then the matching wildcards in pattern
+// order.
+func (x *patterns[T]) match(topic string, visit func([]T)) {
+	if vals, ok := x.exact[topic]; ok {
+		visit(vals)
+	}
+	for _, w := range x.wild {
+		if TopicMatches(w.pattern, topic) {
+			visit(w.vals)
+		}
+	}
+}
+
+// all returns every registered pattern, sorted.
+func (x *patterns[T]) all() []string {
+	out := make([]string, 0, len(x.exact)+len(x.wild))
+	for p := range x.exact {
+		out = append(out, p)
+	}
+	for _, w := range x.wild {
+		out = append(out, w.pattern)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // MessageHandler consumes deliveries on a subscribed topic.
@@ -279,7 +386,8 @@ type Client struct {
 	retryInterval time.Duration
 	maxRetries    int
 
-	handlers map[string]MessageHandler
+	// handlers holds one handler per subscribed pattern.
+	handlers *patterns[MessageHandler]
 	nextID   uint64
 	pending  map[uint64]*simnet.Timer
 	// published/acked counters for experiments.
@@ -308,7 +416,7 @@ func NewClient(ep simnet.Port, brokerID simnet.NodeID, cfg ClientConfig) *Client
 		broker:        brokerID,
 		retryInterval: cfg.RetryInterval,
 		maxRetries:    cfg.MaxRetries,
-		handlers:      make(map[string]MessageHandler),
+		handlers:      newPatterns[MessageHandler](),
 		pending:       make(map[uint64]*simnet.Timer),
 	}
 	ep.OnMessage(c.handle)
@@ -333,13 +441,13 @@ func (c *Client) SetBus(bus *obs.Bus) { c.bus = bus }
 // subscription is gone until the client subscribes again (ML2's
 // weakness, surfaced in the experiments).
 func (c *Client) Subscribe(topic string, h MessageHandler) {
-	c.handlers[topic] = h
+	c.handlers.set(topic, []MessageHandler{h})
 	c.ep.Send(c.broker, subscribeMsg{Topic: topic})
 }
 
 // Unsubscribe removes the handler and informs the broker.
 func (c *Client) Unsubscribe(topic string) {
-	delete(c.handlers, topic)
+	c.handlers.set(topic, nil)
 	c.ep.Send(c.broker, unsubscribeMsg{Topic: topic})
 }
 
@@ -385,7 +493,7 @@ func (c *Client) Published() int { return c.published }
 func (c *Client) Acked() int { return c.acked }
 
 func (c *Client) resubscribe() {
-	for topic := range c.handlers {
+	for _, topic := range c.handlers.all() {
 		c.ep.Send(c.broker, subscribeMsg{Topic: topic})
 	}
 }
@@ -402,11 +510,11 @@ func (c *Client) handle(_ simnet.NodeID, msg simnet.Message) {
 		}
 		// Subscriptions may be wildcard patterns; dispatch to every
 		// matching handler.
-		for pattern, h := range c.handlers {
-			if TopicMatches(pattern, m.Topic) {
+		c.handlers.match(m.Topic, func(hs []MessageHandler) {
+			for _, h := range hs {
 				h(m.Topic, m.Payload)
 			}
-		}
+		})
 	case pubAckMsg:
 		c.onPubAck(m.ID)
 	}
